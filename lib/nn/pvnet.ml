@@ -28,7 +28,37 @@ type buffers = {
   svalues : Tensor.t;  (* B × 1 *)
 }
 
+(* The flat GCN readout's per-replica state (DESIGN.md "GCN readout").
+   The structure half caches, for one topology stamp, the CSR of the
+   edges among the vertices live when it was built: neighbours in
+   increasing id order, each directed edge's m × m message block
+   φ(M_vu)/m row-major in one floatarray.  A leaf whose live set is
+   covered by [s_live] under the same stamp reads its edges from here
+   (dead neighbours filtered by [row_of]) — no adjacency-table walk.
+   The per-leaf half is scratch sized to the graph's capacity, reused
+   call over call.  Every buffer is resized at a structure build when it
+   is short or more than 4x too large. *)
+type readout = {
+  mutable s_stamp : int;  (* Graph.topology_stamp of the cache; -1 none *)
+  mutable s_cap : int;  (* Graph.capacity of the cached graph *)
+  mutable s_live : Bytes.t;  (* vertex ↦ '\001' if live at build *)
+  mutable s_start : int array;  (* vertex ↦ first edge; capacity + 1 *)
+  mutable s_nbr : int array;  (* edge ↦ neighbour id *)
+  mutable s_fin : Bytes.t;  (* edge ↦ '\001' if its block is all finite *)
+  mutable s_blocks : floatarray;  (* edge e's block at [e * m * m] *)
+  mutable row_of : int array;  (* vertex ↦ H row this leaf; -1 dead *)
+  mutable ids : int array;  (* H row ↦ vertex *)
+  mutable nz : int array;  (* row r's nonzero H columns at [r * m] *)
+  mutable nzv : floatarray;  (* ... and their values, same layout *)
+  mutable nzc : int array;  (* row ↦ number of nonzero H columns *)
+  mutable h : Tensor.t;  (* rows × m   layer input *)
+  mutable h' : Tensor.t;  (* rows × m   layer output *)
+  mutable self : Tensor.t;  (* rows × m   self transform *)
+  mutable msg : Tensor.t;  (* rows × m   neighbour-message means *)
+}
+
 type arena = {
+  rd : readout;
   bufs : (int, buffers) Hashtbl.t;  (* batch rows ↦ buffer set *)
   packs : (string, Tensor.packed) Hashtbl.t;
       (* param name ↦ packed transposed weight panels (the B operand of
@@ -47,7 +77,8 @@ type t = {
   config : config;
   msg_cache : (int, Tensor.t) Hashtbl.t;
       (* message matrices memoized by Mat.id — matrices are immutable and
-         shared across MCTS states, so this stays hot through a search *)
+         shared across MCTS states, so this stays hot through a search;
+         reset whenever it would outgrow [msg_cache_budget] bytes *)
   arena : arena;
       (* per-replica like msg_cache: the batched forward reuses these
          buffers call over call, so steady-state inference allocates only
@@ -89,6 +120,25 @@ let create ~rng config =
     msg_cache = Hashtbl.create 1024;
     arena =
       {
+        rd =
+          {
+            s_stamp = -1;
+            s_cap = 0;
+            s_live = Bytes.empty;
+            s_start = [||];
+            s_nbr = [||];
+            s_fin = Bytes.empty;
+            s_blocks = Float.Array.create 0;
+            row_of = [||];
+            ids = [||];
+            nz = [||];
+            nzv = Float.Array.create 0;
+            nzc = [||];
+            h = Tensor.zeros [| 1; m |];
+            h' = Tensor.zeros [| 1; m |];
+            self = Tensor.zeros [| 1; m |];
+            msg = Tensor.zeros [| 1; m |];
+          };
         bufs = Hashtbl.create 8;
         packs = Hashtbl.create 8;
         pack_version = -1;
@@ -187,26 +237,48 @@ let copy_into ~src ~dst = if src != dst then sync ~src ~dst
 (* Soft availability weight: 1 at cost 0, decaying rationally so that the
    wide dynamic range of spill weights (1 .. 10^3) stays distinguishable,
    and 0 for inadmissible (∞) entries. *)
-let phi_cost scale c =
-  if Cost.is_inf c then 0.0 else 1.0 /. (1.0 +. (Cost.to_float c /. scale))
+let[@inline] phi_cost scale (c : Cost.t) =
+  if c = Cost.inf then 0.0 else 1.0 /. (1.0 +. (c /. scale))
+
+(* A vertex's features φ(C_v) written into [fd.(base) ..]: the costs are
+   blitted first and encoded in place, since reading them one by one
+   through [Vec.get] would box every entry. *)
+let features_into t vec fd base =
+  let scale = t.config.cost_scale in
+  Vec.blit_to_floatarray vec fd base;
+  for i = base to base + t.config.m - 1 do
+    Float.Array.unsafe_set fd i (phi_cost scale (Float.Array.unsafe_get fd i))
+  done
+[@@hot]
 
 let vertex_features t vec =
-  Tensor.init1 t.config.m (fun i -> phi_cost t.config.cost_scale (Vec.get vec i))
+  let f = Tensor.zeros [| t.config.m |] in
+  features_into t vec (Tensor.data f) 0;
+  f
+
+(* The message cache's memory bound.  An entry costs its m² floats plus
+   about 11 words of headers (tensor record, shape array, table bucket):
+   ~1.4 KB at m = 13, so the budget holds ~11k matrices there — a few
+   PRO10-sized searches — and ~21k at m = 9. *)
+let msg_cache_budget = 16 * 1024 * 1024
+let msg_entry_bytes t = 8 * ((t.config.m * t.config.m) + 11)
+let message_cache_bytes t = Hashtbl.length t.msg_cache * msg_entry_bytes t
 
 (* Message matrix from u into v: [Graph.edge g v u] is already oriented
    with v's colors as rows and u's as columns, so [mv] maps u-space
    features into v-space.  Entries become soft compatibilities, scaled by
    1/m so message magnitudes stay bounded. *)
+let[@inline] message_entry t c =
+  phi_cost t.config.cost_scale c /. float_of_int t.config.m
+
 let message_matrix t mat =
   match Hashtbl.find_opt t.msg_cache (Mat.id mat) with
   | Some cached -> cached
   | None ->
       let m = t.config.m in
-      let tensor =
-        Tensor.init2 m m (fun i j ->
-            phi_cost t.config.cost_scale (Mat.get mat i j) /. float_of_int m)
-      in
-      if Hashtbl.length t.msg_cache > 100_000 then Hashtbl.reset t.msg_cache;
+      let tensor = Tensor.init2 m m (fun i j -> message_entry t (Mat.get mat i j)) in
+      if message_cache_bytes t + msg_entry_bytes t > msg_cache_budget then
+        Hashtbl.reset t.msg_cache;
       Hashtbl.replace t.msg_cache (Mat.id mat) tensor;
       tensor
 
@@ -436,73 +508,292 @@ let residual_rows (blk : Layer.Residual.t) x =
   let h = linear_rows blk.Layer.Residual.fc2 h in
   Tensor.add x h
 
-(* Plain-tensor replica of the GCN + readout part of [forward]: one
-   3m-dimensional readout row for one state. *)
-let readout_row t g ~next =
+(* --- GCN readout: flat CSR kernel ----------------------------------- *)
+
+(* Rebuild the structure cache from the adjacency tables — once per
+   topology stamp (or when a leaf revives a vertex the cache never saw),
+   not once per leaf.  Blocks are encoded straight into [s_blocks], not
+   through [message_matrix]: the cache would only hold a second copy of
+   each block. *)
+let build_structure t rd g =
+  rd.s_stamp <- -1;
   let m = t.config.m in
-  let verts = Graph.vertices g in
-  let h = Hashtbl.create (List.length verts) in
-  List.iter
-    (fun u -> Hashtbl.replace h u (vertex_features t (Graph.cost g u)))
-    verts;
-  Array.iter
-    (fun layer ->
-      (* self transform: all vertices in one GEMM (rows blitted straight
-         from the feature table, no intermediate row list) *)
-      let hmat = Tensor.zeros [| List.length verts; m |] in
-      List.iteri (fun i v -> Tensor.blit_row_into (Hashtbl.find h v) i hmat) verts;
-      let selfs = linear_rows layer.w_self hmat in
-      (* neighbor messages: the mean replicates Ad.mean_list (accumulate
-         in neighbor order, then scale), the transform is one GEMM over
-         the vertices that have any *)
-      let msgs =
-        List.filter_map
-          (fun v ->
-            match Graph.neighbors g v with
-            | [] -> None
-            | ns ->
-                let acc = Tensor.zeros [| m |] in
-                List.iter
-                  (fun u ->
-                    let mvu = Option.get (Graph.edge_ref g v u) in
-                    Tensor.add_into acc
-                      (Tensor.mv (message_matrix t mvu) (Hashtbl.find h u)))
-                  ns;
-                Some (v, Tensor.scale (1.0 /. float_of_int (List.length ns)) acc))
-          verts
-      in
-      let transformed = Hashtbl.create 16 in
-      (match msgs with
-      | [] -> ()
-      | _ ->
-          let tmat =
-            linear_rows layer.w_msg (Tensor.stack_rows (List.map snd msgs))
-          in
-          List.iteri
-            (fun i (v, _) -> Hashtbl.replace transformed v (Tensor.row tmat i))
-            msgs);
-      let h' = Hashtbl.create (List.length verts) in
-      List.iteri
-        (fun i v ->
-          let self = Tensor.row selfs i in
-          let combined =
-            match Hashtbl.find_opt transformed v with
-            | Some msg -> Tensor.add self msg
-            | None -> self
-          in
-          Hashtbl.replace h' v (relu_t combined))
-        verts;
-      Hashtbl.reset h;
-      List.iter (fun v -> Hashtbl.replace h v (Hashtbl.find h' v)) verts)
-    t.gcn;
-  let global =
-    let k = float_of_int (List.length verts) in
-    let acc = Tensor.zeros [| m |] in
-    List.iter (fun v -> Tensor.add_into acc (Hashtbl.find h v)) verts;
-    Tensor.scale (1.0 /. k) acc
-  in
-  Tensor.concat1
-    [ Hashtbl.find h next; global; vertex_features t (Graph.cost g next) ]
+  let mm = m * m in
+  let cap = Graph.capacity g in
+  let edges = ref 0 in
+  for v = 0 to cap - 1 do
+    if Graph.is_alive g v then edges := !edges + Graph.degree g v
+  done;
+  let e = !edges in
+  (* every buffer is sized to this graph: grown when short, reallocated
+     when more than 4x too large, so a replica that once read a big graph
+     does not keep its memory (see [readout_bytes]) *)
+  let misfit have need = have < need || have > 4 * need in
+  if misfit (Bytes.length rd.s_live) cap then begin
+    rd.s_live <- Bytes.create cap;
+    rd.s_start <- Array.make (cap + 1) 0;
+    rd.row_of <- Array.make cap (-1)
+  end;
+  if misfit (Array.length rd.s_nbr) e then begin
+    let c = e + (e / 4) in
+    rd.s_nbr <- Array.make c 0;
+    rd.s_fin <- Bytes.create c;
+    rd.s_blocks <- Float.Array.create (c * mm)
+  end;
+  (* a leaf has at most [cap] live vertices *)
+  if misfit (Array.length rd.ids) cap then begin
+    rd.ids <- Array.make cap 0;
+    rd.nz <- Array.make (cap * m) 0;
+    rd.nzv <- Float.Array.create (cap * m);
+    rd.nzc <- Array.make cap 0;
+    rd.h <- Tensor.zeros [| cap; m |];
+    rd.h' <- Tensor.zeros [| cap; m |];
+    rd.self <- Tensor.zeros [| cap; m |];
+    rd.msg <- Tensor.zeros [| cap; m |]
+  end;
+  let p = ref 0 in
+  for v = 0 to cap - 1 do
+    rd.s_start.(v) <- !p;
+    if Graph.is_alive g v then begin
+      Bytes.set rd.s_live v '\001';
+      List.iter
+        (fun u ->
+          let off = !p * mm in
+          Mat.blit_to_floatarray (Option.get (Graph.edge_ref g v u)) rd.s_blocks off;
+          let fin = ref true in
+          for q = off to off + mm - 1 do
+            let x = message_entry t (Float.Array.get rd.s_blocks q) in
+            if not (Float.is_finite x) then fin := false;
+            Float.Array.set rd.s_blocks q x
+          done;
+          rd.s_nbr.(!p) <- u;
+          Bytes.set rd.s_fin !p (if !fin then '\001' else '\000');
+          incr p)
+        (Graph.neighbors g v)
+    end
+    else Bytes.set rd.s_live v '\000'
+  done;
+  rd.s_start.(cap) <- !p;
+  rd.s_cap <- cap;
+  rd.s_stamp <- Graph.topology_stamp g
+
+(* True when the structure cache covers every live vertex of [g]:
+   same stamp and capacity, and no vertex live now that was dead at
+   build time (under one stamp, the edge between two vertices alive at
+   both times is the same physical matrix). *)
+let structure_covers rd g =
+  rd.s_stamp = Graph.topology_stamp g
+  && rd.s_cap = Graph.capacity g
+  &&
+  let ok = ref true in
+  for v = 0 to rd.s_cap - 1 do
+    if Graph.is_alive g v && Bytes.unsafe_get rd.s_live v = '\000' then
+      ok := false
+  done;
+  !ok
+[@@hot]
+
+(* Does live vertex [v] have a live neighbour? *)
+let has_live_neighbor rd g v =
+  let e = ref rd.s_start.(v) and stop = rd.s_start.(v + 1) in
+  while !e < stop && not (Graph.is_alive g (Array.unsafe_get rd.s_nbr !e)) do
+    incr e
+  done;
+  !e < stop
+[@@hot]
+
+(* Number H's rows: live vertices with a live neighbour first, then the
+   isolated ones, each group in increasing id order — so the message
+   transform can run over rows [0, k) with the self transform fused in
+   as its residual.  Returns [k], the number of rows with a neighbour;
+   every live vertex gets a row. *)
+let number_rows rd g =
+  let k = ref 0 in
+  for v = 0 to rd.s_cap - 1 do
+    rd.row_of.(v) <- -1;
+    if Graph.is_alive g v && has_live_neighbor rd g v then begin
+      rd.row_of.(v) <- !k;
+      rd.ids.(!k) <- v;
+      incr k
+    end
+  done;
+  let r = ref !k in
+  for v = 0 to rd.s_cap - 1 do
+    if Graph.is_alive g v && rd.row_of.(v) < 0 then begin
+      rd.row_of.(v) <- !r;
+      rd.ids.(!r) <- v;
+      incr r
+    end
+  done;
+  !k
+[@@hot]
+
+(* Row [r]'s message mean for one layer: for each live neighbour u in
+   increasing id order, [mv (φ(M_vu)/m) h_u] accumulated from +0 in
+   ascending column order, added into the running sum, then the sum
+   scaled by [1 / deg] — [Tensor.mv], [add_into] and [scale] term for
+   term.  The column loop skips columns where h_u is exactly zero, but
+   only for blocks whose entries are all finite: there each skipped
+   product is ±0, and adding ±0 to an accumulator that started at +0
+   never changes its bits.  A non-finite entry (the φ pole at a cost of
+   exactly -cost_scale gives +∞) times 0 is NaN, which must reach the
+   relu as it always has. *)
+let message_row t rd ~r ~v =
+  let m = t.config.m in
+  let mm = m * m in
+  let hd = Tensor.data rd.h and md = Tensor.data rd.msg in
+  let bd = rd.s_blocks and nz = rd.nz and nzv = rd.nzv in
+  let base = r * m in
+  for i = 0 to m - 1 do
+    Float.Array.unsafe_set md (base + i) 0.0
+  done;
+  let deg = ref 0 in
+  for e = rd.s_start.(v) to rd.s_start.(v + 1) - 1 do
+    let ru = Array.unsafe_get rd.row_of (Array.unsafe_get rd.s_nbr e) in
+    if ru >= 0 then begin
+      incr deg;
+      let hb = ru * m and off = e * mm in
+      if Bytes.unsafe_get rd.s_fin e = '\001' then begin
+        (* four output rows per sweep over u's nonzero columns: four
+           independent accumulator chains, each still summing its own
+           row in ascending column order *)
+        let cnt = Array.unsafe_get rd.nzc ru in
+        let i = ref 0 in
+        while !i + 3 < m do
+          let b0 = off + (!i * m) in
+          let b1 = b0 + m in
+          let b2 = b1 + m in
+          let b3 = b2 + m in
+          let a0 = ref 0.0 and a1 = ref 0.0 and a2 = ref 0.0 and a3 = ref 0.0 in
+          for q = hb to hb + cnt - 1 do
+            let j = Array.unsafe_get nz q and x = Float.Array.unsafe_get nzv q in
+            a0 := !a0 +. (Float.Array.unsafe_get bd (b0 + j) *. x);
+            a1 := !a1 +. (Float.Array.unsafe_get bd (b1 + j) *. x);
+            a2 := !a2 +. (Float.Array.unsafe_get bd (b2 + j) *. x);
+            a3 := !a3 +. (Float.Array.unsafe_get bd (b3 + j) *. x)
+          done;
+          let o = base + !i in
+          Float.Array.unsafe_set md o (Float.Array.unsafe_get md o +. !a0);
+          Float.Array.unsafe_set md (o + 1) (Float.Array.unsafe_get md (o + 1) +. !a1);
+          Float.Array.unsafe_set md (o + 2) (Float.Array.unsafe_get md (o + 2) +. !a2);
+          Float.Array.unsafe_set md (o + 3) (Float.Array.unsafe_get md (o + 3) +. !a3);
+          i := !i + 4
+        done;
+        while !i < m do
+          let b0 = off + (!i * m) in
+          let a0 = ref 0.0 in
+          for q = hb to hb + cnt - 1 do
+            a0 :=
+              !a0
+              +. (Float.Array.unsafe_get bd (b0 + Array.unsafe_get nz q)
+                 *. Float.Array.unsafe_get nzv q)
+          done;
+          let o = base + !i in
+          Float.Array.unsafe_set md o (Float.Array.unsafe_get md o +. !a0);
+          incr i
+        done
+      end
+      else
+        for i = 0 to m - 1 do
+          let bi = off + (i * m) in
+          let acc = ref 0.0 in
+          for j = 0 to m - 1 do
+            acc :=
+              !acc
+              +. (Float.Array.unsafe_get bd (bi + j)
+                 *. Float.Array.unsafe_get hd (hb + j))
+          done;
+          Float.Array.unsafe_set md (base + i)
+            (Float.Array.unsafe_get md (base + i) +. !acc)
+        done
+    end
+  done;
+  let s = 1.0 /. float_of_int !deg in
+  for i = 0 to m - 1 do
+    Float.Array.unsafe_set md (base + i) (s *. Float.Array.unsafe_get md (base + i))
+  done
+[@@hot]
+
+(* One GCN layer over rows [0, n): H' = relu(H W_selfᵀ + b_self
+   + M W_msgᵀ + b_msg) on the [k] rows with neighbours, relu(H W_selfᵀ
+   + b_self) on the rest.  The self GEMM leaves its rows in [self]; the
+   message GEMM adds them as its fused residual ([self + msg], the
+   operand order of the tape's [Ad.add self msg]) and applies the
+   relu. *)
+let gcn_layer t rd layer ~n ~k =
+  let m = t.config.m in
+  let hd = Tensor.data rd.h in
+  (* nonzero columns of the rows messages read: every neighbour of a row
+     in [0, k) has a live neighbour itself, so it is a row in [0, k) *)
+  for r = 0 to k - 1 do
+    let base = r * m in
+    let c = ref 0 in
+    for j = 0 to m - 1 do
+      let x = Float.Array.unsafe_get hd (base + j) in
+      if x <> 0.0 then begin
+        Array.unsafe_set rd.nz (base + !c) j;
+        Float.Array.unsafe_set rd.nzv (base + !c) x;
+        incr c
+      end
+    done;
+    Array.unsafe_set rd.nzc r !c
+  done;
+  for r = 0 to k - 1 do
+    message_row t rd ~r ~v:(Array.unsafe_get rd.ids r)
+  done;
+  Tensor.matmul_packed_into ~rows:n ~bias:layer.w_self.Layer.Linear.b.Var.value
+    rd.self rd.h (packed_of t layer.w_self);
+  if k > 0 then
+    Tensor.matmul_packed_into ~rows:k ~bias:layer.w_msg.Layer.Linear.b.Var.value
+      ~residual:rd.self ~relu:true rd.h' rd.msg (packed_of t layer.w_msg);
+  let sd = Tensor.data rd.self and od = Tensor.data rd.h' in
+  for q = k * m to (n * m) - 1 do
+    let x = Float.Array.unsafe_get sd q in
+    Float.Array.unsafe_set od q (if x > 0.0 then x else 0.0)
+  done;
+  let h = rd.h in
+  rd.h <- rd.h';
+  rd.h' <- h
+[@@hot]
+
+(* The 3m readout row [h_next ‖ mean_v h_v ‖ φ(C_next)] written into
+   [out], bit-identical to the tape forward's GCN + readout. *)
+let readout_into t g ~next out =
+  let rd = t.arena.rd in
+  let m = t.config.m in
+  if not (structure_covers rd g) then build_structure t rd g;
+  let n = Graph.n_alive g in
+  let k = number_rows rd g in
+  let hd = Tensor.data rd.h in
+  for r = 0 to n - 1 do
+    features_into t (Graph.cost g (Array.unsafe_get rd.ids r)) hd (r * m)
+  done;
+  for l = 0 to Array.length t.gcn - 1 do
+    gcn_layer t rd t.gcn.(l) ~n ~k
+  done;
+  let od = Tensor.data out in
+  let hd = Tensor.data rd.h in
+  let nb = rd.row_of.(next) * m in
+  for i = 0 to m - 1 do
+    Float.Array.unsafe_set od i (Float.Array.unsafe_get hd (nb + i));
+    Float.Array.unsafe_set od (m + i) 0.0
+  done;
+  (* global mean pool: accumulated from +0 in increasing vertex id order,
+     then scaled by 1/n *)
+  for v = 0 to rd.s_cap - 1 do
+    let r = Array.unsafe_get rd.row_of v in
+    if r >= 0 then
+      for i = 0 to m - 1 do
+        Float.Array.unsafe_set od (m + i)
+          (Float.Array.unsafe_get od (m + i) +. Float.Array.unsafe_get hd ((r * m) + i))
+      done
+  done;
+  let s = 1.0 /. float_of_int n in
+  for i = 0 to m - 1 do
+    Float.Array.unsafe_set od (m + i) (s *. Float.Array.unsafe_get od (m + i))
+  done;
+  features_into t (Graph.cost g next) od (2 * m)
+[@@hot]
 
 (* A state's whole contribution to a batched forward, captured while its
    graph is live: the 3m readout row plus a private copy of the next
@@ -520,8 +811,22 @@ let prepare ?quantized t g ~next =
     | Some q -> q
     | None -> t.quant_serve && t.quant_certified = t.version
   in
-  { p_row = readout_row t g ~next; p_mask = Vec.copy (Graph.cost g next);
-    p_quant }
+  let p_row = Tensor.zeros [| 3 * t.config.m |] in
+  readout_into t g ~next p_row;
+  { p_row; p_mask = Vec.copy (Graph.cost g next); p_quant }
+
+let prepared_row p = Tensor.copy p.p_row
+
+let readout_bytes t =
+  let rd = t.arena.rd in
+  let floats x = Float.Array.length (Tensor.data x) in
+  Bytes.length rd.s_live + Bytes.length rd.s_fin
+  + 8
+    * (Array.length rd.s_start + Array.length rd.s_nbr
+     + Float.Array.length rd.s_blocks + Array.length rd.row_of
+     + Array.length rd.ids + Array.length rd.nz + Float.Array.length rd.nzv
+     + Array.length rd.nzc + floats rd.h + floats rd.h' + floats rd.self
+     + floats rd.msg)
 
 (* Scratch buffers for a batch of [b] rows, reused call over call.  The
    64-size-class bound exists only to keep pathological callers from

@@ -89,6 +89,26 @@ val prepare : ?quantized:bool -> t -> Pbqp.Graph.t -> next:int -> prepared
     that is subsequently mutated (the incremental-search pattern: seek
     the shared trail graph to each leaf, prepare, move on).
 
+    The GCN readout runs as a flat kernel (DESIGN.md "GCN readout"):
+    the live graph as CSR — neighbours in increasing id order, each
+    directed edge's [m × m] message block [φ(M_vu)/m] in one
+    [floatarray] — cached per {!Pbqp.Graph.topology_stamp}, so leaves
+    of one search reuse it; H as an [n × m] buffer in the replica's
+    arena; the self and message transforms through the packed fused
+    GEMM with bias, the [self + msg] residual and the relu in its
+    epilogue.  After warm-up a call allocates only the result (the
+    readout row, the mask copy, the record), whatever the graph's size.
+
+    {b Bitwise contract}: the row is bit-identical to the GCN + readout
+    of the autodiff forward behind {!predict} and {!loss} — [Tensor.mv], [add_into], [scale (1/deg)]
+    and the global mean's accumulation are reproduced term for term, in
+    the same order, with the same operand order.  The message product
+    skips columns where the neighbour's feature is exactly zero only
+    when the message block's entries are all finite: then each skipped
+    product is ±0 and cannot change an accumulator that started at +0,
+    while a non-finite block entry times 0 is NaN and must reach the
+    relu.  (Costs of exactly [-cost_scale] encode as +∞.)
+
     [quantized] selects the int8 serving path for this state's batch; it
     defaults to [quantized_serve t && quantized_certified t], so
     ordinary callers follow the net's serving mode and silently fall
@@ -96,6 +116,27 @@ val prepare : ?quantized:bool -> t -> Pbqp.Graph.t -> next:int -> prepared
     [~quantized:true] explicitly requests the int8 path — then
     {!predict_prepared} raises unless the certificate is current.
     @raise Invalid_argument as {!predict}. *)
+
+val prepared_row : prepared -> Tensor.t
+(** A copy of the prepared state's [3m] readout row
+    [h_next ‖ mean_v h_v ‖ φ(C_next)] — for equivalence tests. *)
+
+val msg_cache_budget : int
+(** Byte budget of the per-replica message-matrix cache (the [Mat.id]-
+    keyed [φ(M)/m] tensors behind the autodiff forward of {!predict} and
+    {!loss}): it is reset whenever an insertion would exceed this, so its
+    memory stays bounded over any stream of graphs. *)
+
+val message_cache_bytes : t -> int
+(** The message cache's current size in bytes, by the same per-entry
+    estimate the budget is enforced with. *)
+
+val readout_bytes : t -> int
+(** Bytes held by the replica's GCN readout arena (the CSR structure
+    cache and the per-leaf H buffers).  Each structure rebuild resizes
+    every buffer that is short of, or more than 4x larger than, what the
+    current graph needs, so the arena follows the graph last read rather
+    than the largest one ever seen. *)
 
 val predict_prepared :
   ?scratch:bool -> t -> prepared array -> (float array * float) array

@@ -7,12 +7,21 @@ type t = {
   adj : (int, Mat.t) Hashtbl.t array;
       (* adj.(u) maps live neighbor v to the matrix oriented with u's colors
          as rows.  Symmetric: adj.(v) holds the transpose. *)
+  mutable stamp : int;
+      (* topology stamp: re-minted by every operation that can change the
+         edge (or its physical matrix) between two live vertices — see
+         [topology_stamp] *)
 }
 
 (* Instance identities survive copies (both [copy] flavors use [{ g with
    ... }]), so all states derived from one problem share the uid.  Atomic:
    graphs are minted concurrently from self-play worker domains. *)
 let next_uid =
+  let counter = Atomic.make 0 in
+  fun () -> Atomic.fetch_and_add counter 1 + 1
+
+(* Atomic for the same reason: stamps are minted from worker domains. *)
+let next_stamp =
   let counter = Atomic.make 0 in
   fun () -> Atomic.fetch_and_add counter 1 + 1
 
@@ -26,9 +35,11 @@ let create ~m ~n =
     alive = Array.make n true;
     costs = Array.init n (fun _ -> Vec.zero m);
     adj = Array.init n (fun _ -> Hashtbl.create 4);
+    stamp = next_stamp ();
   }
 
 let uid g = g.uid
+let topology_stamp g = g.stamp
 let m g = g.m
 let capacity g = g.n
 
@@ -74,7 +85,8 @@ let remove_edge g u v =
   check_vertex g u "remove_edge";
   check_vertex g v "remove_edge";
   Hashtbl.remove g.adj.(u) v;
-  Hashtbl.remove g.adj.(v) u
+  Hashtbl.remove g.adj.(v) u;
+  g.stamp <- next_stamp ()
 
 let add_edge g u v muv =
   check_vertex g u "add_edge";
@@ -90,7 +102,8 @@ let add_edge g u v muv =
   if Mat.is_zero combined then remove_edge g u v
   else begin
     Hashtbl.replace g.adj.(u) v combined;
-    Hashtbl.replace g.adj.(v) u (Mat.transpose combined)
+    Hashtbl.replace g.adj.(v) u (Mat.transpose combined);
+    g.stamp <- next_stamp ()
   end
 
 let neighbors g u =
@@ -126,7 +139,11 @@ let swap_cost g u v =
   g.costs.(u) <- v;
   old
 
-type detached = { d_vertex : int; d_adj : (int * Mat.t * Mat.t) list }
+type detached = {
+  d_vertex : int;
+  d_adj : (int * Mat.t * Mat.t) list;
+  d_stamp : int;  (* the graph's topology stamp when the record was made *)
+}
 
 let detach_vertex g u =
   check_vertex g u "detach_vertex";
@@ -138,7 +155,7 @@ let detach_vertex g u =
   List.iter (fun (v, _, _) -> Hashtbl.remove g.adj.(v) u) entries;
   Hashtbl.reset g.adj.(u);
   g.alive.(u) <- false;
-  { d_vertex = u; d_adj = entries }
+  { d_vertex = u; d_adj = entries; d_stamp = g.stamp }
 [@@analyze.order_insensitive
   "entry-list order only sequences commuting per-neighbor \
    detach/reattach operations"]
@@ -157,6 +174,9 @@ let reattach_vertex g d =
   let u = d.d_vertex in
   if u < 0 || u >= g.n then invalid_arg "Graph.reattach_vertex: out of range";
   if g.alive.(u) then invalid_arg "Graph.reattach_vertex: vertex is alive";
+  (* the record restores the edges of the stamp it was made under; under
+     any other stamp they are new topology *)
+  if d.d_stamp <> g.stamp then g.stamp <- next_stamp ();
   g.alive.(u) <- true;
   List.iter
     (fun (v, muv, mvu) ->
@@ -166,9 +186,10 @@ let reattach_vertex g d =
 
 let liberty g u = Vec.liberty (cost g u)
 
-let copy_with mat_copy g =
+let copy_with ~stamp mat_copy g =
   {
     g with
+    stamp;
     alive = Array.copy g.alive;
     costs = Array.map Vec.copy g.costs;
     adj =
@@ -183,8 +204,10 @@ let copy_with mat_copy g =
   "populates a fresh table keyed by neighbor id; adjacency is a map, \
    consumers never depend on its physical order"]
 
-let copy g = copy_with Mat.copy g
-let copy_shared g = copy_with Fun.id g
+(* A deep copy's matrices are fresh objects, so it gets a fresh stamp;
+   a shared copy keeps both the matrices and the stamp. *)
+let copy g = copy_with ~stamp:(next_stamp ()) Mat.copy g
+let copy_shared g = copy_with ~stamp:g.stamp Fun.id g
 
 (* Deterministic edge order: u ascending, then v ascending within u's
    (sorted) neighbor list — never raw hash-table order.  Callers fold

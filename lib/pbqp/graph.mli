@@ -26,6 +26,21 @@ val uid : t -> int
     problem instance shares it.  Used to key per-instance memoization
     (the evaluation cache's Zobrist base). *)
 
+val topology_stamp : t -> int
+(** A process-unique stamp of the graph's edge structure.  Any two graph
+    values (or one graph at two times) carrying the same stamp agree, for
+    every pair of vertices alive in both, on whether the pair has an edge
+    and on the {e physical} matrix it carries.  {!create}, {!add_edge},
+    {!remove_edge} and {!copy} mint a fresh stamp; {!copy_shared} keeps
+    it; removing, detaching or redetaching a vertex keeps it (only pairs
+    with the now-dead vertex change); {!reattach_vertex} keeps it when the
+    record was made under the current stamp and mints a fresh one
+    otherwise.  Cost-vector updates never touch it.  Lets per-leaf
+    consumers (the GCN readout) cache structure derived from the edges of
+    one search instead of re-walking the adjacency tables; like
+    [Mat.id]-keyed caches it assumes matrices are never mutated with
+    [Mat.set] while in a graph. *)
+
 val m : t -> int
 (** Number of colors. *)
 

@@ -38,6 +38,15 @@ let rows m = m.rows
 let cols m = m.cols
 let get m i j = m.data.((i * m.cols) + j)
 let set m i j c = m.data.((i * m.cols) + j) <- c
+
+let blit_to_floatarray m dst pos =
+  let n = Array.length m.data in
+  if pos < 0 || pos + n > Float.Array.length dst then
+    invalid_arg "Mat.blit_to_floatarray: out of bounds";
+  for k = 0 to n - 1 do
+    Float.Array.unsafe_set dst (pos + k) (Array.unsafe_get m.data k)
+  done
+
 let copy m = { m with id = next_id (); data = Array.copy m.data }
 let transpose m = init ~rows:m.cols ~cols:m.rows (fun i j -> get m j i)
 let row m i = Vec.init m.cols (fun j -> get m i j)

@@ -32,6 +32,11 @@ val get : t -> int -> int -> Cost.t
 
 val set : t -> int -> int -> Cost.t -> unit
 
+val blit_to_floatarray : t -> floatarray -> int -> unit
+(** [blit_to_floatarray m dst pos] copies [m]'s entries, row-major, into
+    [dst.(pos) ..], bit for bit and without the per-entry boxing of
+    {!get}.  @raise Invalid_argument if [dst] is too short. *)
+
 val copy : t -> t
 
 val transpose : t -> t

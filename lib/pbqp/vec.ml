@@ -15,6 +15,14 @@ let length = Array.length
 let get (v : t) i = v.(i)
 let set (v : t) i c = v.(i) <- c
 
+let blit_to_floatarray (v : t) dst pos =
+  let n = Array.length v in
+  if pos < 0 || pos + n > Float.Array.length dst then
+    invalid_arg "Vec.blit_to_floatarray: out of bounds";
+  for i = 0 to n - 1 do
+    Float.Array.unsafe_set dst (pos + i) (Array.unsafe_get v i)
+  done
+
 let add a b =
   if Array.length a <> Array.length b then invalid_arg "Vec.add: length mismatch";
   Array.init (Array.length a) (fun i -> a.(i) +. b.(i))

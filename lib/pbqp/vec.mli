@@ -30,6 +30,12 @@ val get : t -> int -> Cost.t
 
 val set : t -> int -> Cost.t -> unit
 
+val blit_to_floatarray : t -> floatarray -> int -> unit
+(** [blit_to_floatarray v dst pos] copies [v]'s entries into
+    [dst.(pos) ..], bit for bit and without allocating — for hot loops
+    that would otherwise box every entry read through {!get}.
+    @raise Invalid_argument if [dst] is too short. *)
+
 val add : t -> t -> t
 (** Pointwise extended-real sum; fresh vector.
     @raise Invalid_argument on length mismatch. *)

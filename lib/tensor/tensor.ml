@@ -335,11 +335,22 @@ let matmul_packed_rows od ad ~ca ~bp ~bias ~residual ~relu ~lo ~hi =
   done
 [@@hot]
 
-let matmul_packed_into ?bias ?residual ?(relu = false) out a bp =
+let matmul_packed_into ?rows ?bias ?residual ?(relu = false) out a bp =
   let ra, ca = dims2 a in
   if ca <> bp.pk then invalid_arg "Tensor.matmul_packed_into: inner dims differ";
   let ro, co = dims2 out in
-  if ro <> ra || co <> bp.pn then
+  let ra =
+    match rows with
+    | None ->
+        if ro <> ra then
+          invalid_arg "Tensor.matmul_packed_into: output shape mismatch";
+        ra
+    | Some n ->
+        if n < 0 || n > ra || n > ro then
+          invalid_arg "Tensor.matmul_packed_into: rows out of range";
+        n
+  in
+  if co <> bp.pn then
     invalid_arg "Tensor.matmul_packed_into: output shape mismatch";
   if out.data == a.data then
     invalid_arg "Tensor.matmul_packed_into: output aliases input";
@@ -355,7 +366,8 @@ let matmul_packed_into ?bias ?residual ?(relu = false) out a bp =
     match residual with
     | None -> None
     | Some r ->
-        if dims2 r <> (ra, bp.pn) then
+        let rr, rc = dims2 r in
+        if rc <> bp.pn || rr < ra || (rows = None && rr <> ra) then
           invalid_arg "Tensor.matmul_packed_into: residual shape mismatch";
         Some r.data
   in

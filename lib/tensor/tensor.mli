@@ -137,10 +137,14 @@ val packed_dims : packed -> int * int
 (** [(k, n)] dims of the packed operand. *)
 
 val matmul_packed_into :
-  ?bias:t -> ?residual:t -> ?relu:bool -> t -> t -> packed -> unit
+  ?rows:int -> ?bias:t -> ?residual:t -> ?relu:bool -> t -> t -> packed ->
+  unit
 (** [matmul_packed_into ?bias ?residual ?relu out a bp] writes
     [a × bp] into [out] with the optional epilogue applied per cell in
     this order: [+ bias.(j)], then [residual.(i, j) + ·], then relu.
+    With [~rows:n] only the first [n] rows of [a], [out] and [residual]
+    are read or written, and each may have more rows than that — the
+    form for capacity-sized arena buffers holding a variable row count.
     Bit-identical to the unfused [matmul_into] followed by separate
     bias/residual/relu passes (same float operations in the same order;
     each cell accumulates ascending-k with the same zero-skip).

@@ -45,6 +45,14 @@ echo "== dune build @incr =="
 # {persistent, incremental} x {cache off, on}
 dune build @incr
 
+echo "== dune build @readout =="
+# GCN readout equivalence suite: the flat CSR kernel behind
+# Pvnet.prepare bit for bit against the Hashtbl row-level oracle
+# (spill-family, ATE 0/inf, coalescing-credit and MiniC residual graphs,
+# isolated vertices, the phi pole, State.apply chains, Istate seeks),
+# the size-independent allocation count and the message-cache budget
+dune build @readout
+
 echo "== dune build @exact =="
 # exact-solver differential suite: 500 seeded graphs exact-vs-brute,
 # family floor sweeps (no solver ever below the proven optimum), bound

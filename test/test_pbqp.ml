@@ -182,6 +182,48 @@ let test_graph_liberty () =
   Graph.set_cost g 0 (Vec.of_array [| 1.0; Cost.inf; 2.0 |]);
   Alcotest.(check int) "liberty" 2 (Graph.liberty g 0)
 
+(* Topology stamps: kept by every operation that leaves the edge between
+   two live vertices alone, re-minted by every one that may change it. *)
+let test_graph_topology_stamp () =
+  let g = Graph.create ~m:2 ~n:3 in
+  let fresh what before =
+    Alcotest.(check bool) (what ^ " mints a fresh stamp") true
+      (Graph.topology_stamp g <> before)
+  and kept what before =
+    Alcotest.(check int) (what ^ " keeps the stamp") before
+      (Graph.topology_stamp g)
+  in
+  let s = Graph.topology_stamp g in
+  Graph.add_edge g 0 1 (Mat.interference 2);
+  fresh "add_edge" s;
+  let s = Graph.topology_stamp g in
+  Graph.add_edge g 1 2 (Mat.interference 2);
+  fresh "add_edge" s;
+  let s = Graph.topology_stamp g in
+  Graph.set_cost g 0 (Vec.of_array [| 1.0; 2.0 |]);
+  ignore (Graph.swap_cost g 1 (Vec.of_array [| 3.0; 4.0 |]));
+  kept "cost updates" s;
+  Alcotest.(check int) "copy_shared keeps the stamp" s
+    (Graph.topology_stamp (Graph.copy_shared g));
+  Alcotest.(check bool) "copy mints a fresh stamp" true
+    (Graph.topology_stamp (Graph.copy g) <> s);
+  let d = Graph.detach_vertex g 0 in
+  kept "detach_vertex" s;
+  Graph.reattach_vertex g d;
+  kept "reattach under the detaching stamp" s;
+  Graph.redetach_vertex g d;
+  kept "redetach_vertex" s;
+  (* an edge change while 0 is detached: its record now restores edges
+     of another stamp *)
+  Graph.remove_edge g 1 2;
+  fresh "remove_edge" s;
+  let s = Graph.topology_stamp g in
+  Graph.reattach_vertex g d;
+  fresh "reattach under another stamp" s;
+  let s = Graph.topology_stamp g in
+  Graph.remove_vertex g 2;
+  kept "remove_vertex" s
+
 (* ------------------------------------------------------------------ *)
 (* Solution *)
 
@@ -547,6 +589,7 @@ let () =
             test_graph_copy_independent;
           Alcotest.test_case "self edge rejected" `Quick test_graph_self_edge;
           Alcotest.test_case "liberty" `Quick test_graph_liberty;
+          Alcotest.test_case "topology stamp" `Quick test_graph_topology_stamp;
         ] );
       ( "solution",
         [

@@ -264,6 +264,40 @@ let test_fused_residual_aliasing () =
   Tensor.matmul_packed_into ~bias ~residual:out out a (Tensor.pack b);
   Alcotest.check t_bits "out == residual aliasing" expect out
 
+(* [~rows:n] over capacity-sized buffers (the GCN readout's arena):
+   the first n output rows are bit-identical to the exact-shape call on
+   the leading n rows of [a] and [residual], and rows past n are left
+   untouched. *)
+let test_packed_rows_prefix () =
+  let rng = rng 29 in
+  let cap = 11 and ca = 13 and cb = 13 in
+  let a = random_matrix rng cap ca and b = random_matrix rng ca cb in
+  let bias = Tensor.row (random_matrix rng 1 cb) 0 in
+  let residual = random_matrix rng cap cb in
+  let bp = Tensor.pack b in
+  let lead t n =
+    Tensor.init2 n (snd (Tensor.dims2 t)) (fun i j -> Tensor.get2 t i j)
+  in
+  List.iter
+    (fun n ->
+      let expect = Tensor.zeros [| n; cb |] in
+      Tensor.matmul_packed_into ~bias ~residual:(lead residual n) ~relu:true
+        expect (lead a n) bp;
+      let out = Tensor.init2 cap cb (fun _ _ -> Float.nan) in
+      Tensor.matmul_packed_into ~rows:n ~bias ~residual ~relu:true out a bp;
+      Alcotest.check t_bits (Printf.sprintf "first %d rows" n) expect (lead out n);
+      for i = n to cap - 1 do
+        for j = 0 to cb - 1 do
+          if not (Float.is_nan (Tensor.get2 out i j)) then
+            Alcotest.failf "row %d written past rows=%d" i n
+        done
+      done)
+    [ 1; 5; cap ];
+  Alcotest.check_raises "rows past the buffer"
+    (Invalid_argument "Tensor.matmul_packed_into: rows out of range")
+    (fun () ->
+      Tensor.matmul_packed_into ~rows:(cap + 1) (Tensor.zeros [| cap; cb |]) a bp)
+
 let test_packed_errors () =
   let a = Tensor.zeros [| 2; 3 |] in
   let bp = Tensor.pack (Tensor.zeros [| 3; 4 |]) in
@@ -429,6 +463,7 @@ let () =
             test_fused_equals_unfused;
           Alcotest.test_case "out == residual aliasing" `Quick
             test_fused_residual_aliasing;
+          Alcotest.test_case "packed rows prefix" `Quick test_packed_rows_prefix;
           Alcotest.test_case "packed errors" `Quick test_packed_errors;
         ] );
       ( "bridges",

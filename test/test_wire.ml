@@ -316,19 +316,24 @@ let test_overload_rejects_at_admission () =
                           k = 300 },
                         graph_body slow ) };
               (* wait until the worker has dequeued the slow request
-                 (queue_depth drains to 0) — otherwise the burst races
-                 it for the queue slot and every burst request can get
-                 rejected.  stats is answered inline by the IO domain,
-                 so this works while the lone worker is busy. *)
+                 and started evaluating it (queue_depth drained to 0
+                 and leaf evaluations counted) — otherwise the burst
+                 races it for the queue slot and every burst request
+                 can get rejected.  A queue depth of 0 alone is not
+                 enough: the IO domain may answer this stats frame
+                 before it has admitted the slow one.  stats is
+                 answered inline by the IO domain, so this works while
+                 the lone worker is busy. *)
               let deadline = Unix.gettimeofday () +. 5.0 in
               let rec wait_pickup () =
-                let depth =
+                let picked_up =
                   match Serve.Client.request c_burst Serve.Wire.Stats with
                   | Ok (Serve.Wire.Stats_reply kvs) ->
-                      List.assoc "queue_depth" kvs
+                      List.assoc "queue_depth" kvs = "0"
+                      && List.assoc "eval_count" kvs <> "0"
                   | _ -> Alcotest.fail "stats poll failed"
                 in
-                if depth <> "0" then
+                if not picked_up then
                   if Unix.gettimeofday () > deadline then
                     Alcotest.fail "slow request never picked up"
                   else begin
